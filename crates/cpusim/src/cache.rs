@@ -106,6 +106,17 @@ impl LastLevelCache {
         CacheOutcome::Miss { writeback }
     }
 
+    /// Whether `address`'s line is present, without touching recency, dirty
+    /// state or the hit/miss counters (so a core can check whether an access
+    /// would miss before committing to it).
+    pub fn contains(&self, address: u64) -> bool {
+        let line_addr = address / self.line_bytes;
+        let tag = line_addr / self.num_sets;
+        self.sets
+            .get((line_addr % self.num_sets) as usize)
+            .is_some_and(|set| set.iter().any(|l| l.tag == tag))
+    }
+
     /// Hit rate since creation.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -151,6 +162,21 @@ mod tests {
         }
         // The evicted line now misses again.
         assert!(!c.access(0, false).is_hit());
+    }
+
+    #[test]
+    fn contains_probes_without_mutating() {
+        let mut c = LastLevelCache::new(4 << 10, 2);
+        let stride = 2048u64;
+        assert!(!c.contains(0));
+        c.access(0, false);
+        c.access(stride, false);
+        assert!(c.contains(0) && c.contains(stride) && !c.contains(2 * stride));
+        assert_eq!((c.misses(), c.hit_rate()), (2, 0.0));
+        // Probing leaves LRU order alone: line 0 is still the victim.
+        assert!(c.contains(0));
+        c.access(2 * stride, false);
+        assert!(!c.contains(0) && c.contains(stride));
     }
 
     #[test]

@@ -250,13 +250,18 @@ impl SimpleCore {
                 progressed = true;
                 continue;
             };
+            // A miss needs a free MSHR. Check before touching the LLC: the
+            // access installs the line on a miss, so a blocked access that
+            // went ahead would hit on its retry and never reach memory.
+            if !self.mshr_available() && (self.bypass_llc || !self.llc.contains(address)) {
+                break; // MSHRs full; retry next cycle
+            }
+            // From here the tick always mutates state (LLC recency, request
+            // ids, writeback enqueue, pending-request bookkeeping).
+            progressed = true;
             let outcome = if self.bypass_llc {
                 CacheOutcome::Miss { writeback: None }
             } else {
-                // The LLC access below updates recency/dirty state (and installs
-                // the line on a miss), so reaching it counts as progress even if
-                // the instruction ends up blocked on a full MSHR list or queue.
-                progressed = true;
                 self.llc.access(address, is_write)
             };
             match outcome {
@@ -266,14 +271,6 @@ impl SimpleCore {
                     self.advance_trace();
                 }
                 CacheOutcome::Miss { writeback } => {
-                    if self.outstanding.iter().filter(|m| !m.done).count()
-                        >= self.config.max_outstanding_misses
-                    {
-                        break; // MSHRs full; retry next cycle
-                    }
-                    // Past the MSHR check the tick always mutates state (request
-                    // ids, writeback enqueue, pending-request bookkeeping).
-                    progressed = true;
                     // Issue the writeback first (not tracked for retirement).
                     if let Some(wb_addr) = writeback {
                         let wb = MemoryRequest::new(
@@ -355,25 +352,18 @@ impl SimpleCore {
                         return true;
                     }
                 }
-                None => {
-                    if self.non_mem_remaining > 0 || self.next_access.is_none() {
-                        return true;
+                None => match self.next_access {
+                    None => return true,
+                    Some(_) if self.non_mem_remaining > 0 || self.mshr_available() => return true,
+                    // MSHRs full: only an LLC hit can issue. A blocked miss
+                    // leaves the LLC untouched (see `tick`), so it stays
+                    // blocked until a completion frees an MSHR.
+                    Some((address, _)) => {
+                        if !self.bypass_llc && self.llc.contains(address) {
+                            return true;
+                        }
                     }
-                    if !self.bypass_llc {
-                        // A cached workload's next access consults (and mutates)
-                        // the LLC, so the tick always makes progress in the sense
-                        // that matters for equivalence.
-                        return true;
-                    }
-                    // Adversarial cores miss on every access without touching the
-                    // LLC, so a full MSHR list genuinely blocks them with no state
-                    // change.
-                    if self.outstanding.iter().filter(|m| !m.done).count()
-                        < self.config.max_outstanding_misses
-                    {
-                        return true;
-                    }
-                }
+                },
             }
         }
         // Issue is blocked; can anything retire this cycle? (Mirrors the retire
@@ -409,6 +399,11 @@ impl SimpleCore {
         if !self.finished() {
             self.cycles += n;
         }
+    }
+
+    /// Whether fewer than `max_outstanding_misses` demand misses are in flight.
+    fn mshr_available(&self) -> bool {
+        self.outstanding.iter().filter(|m| !m.done).count() < self.config.max_outstanding_misses
     }
 
     fn alloc_request_id(&mut self) -> u64 {
@@ -474,6 +469,38 @@ mod tests {
         let (ipc, requests) = run_core(&spec, 50_000);
         assert!(ipc < 2.0, "ipc = {ipc}");
         assert!(requests > 1000, "requests = {requests}");
+    }
+
+    #[test]
+    fn misses_blocked_on_full_mshrs_still_reach_memory() {
+        // Read-only, so no dirty victims: every LLC miss is exactly one read.
+        let spec = WorkloadSpec {
+            name: "thrash",
+            class: crate::workload::WorkloadClass::Ycsb,
+            mem_per_kilo_instr: 200,
+            working_set_bytes: 256 << 20,
+            sequential_fraction: 0.05,
+            read_fraction: 1.0,
+            zipf_exponent: 0.0,
+        };
+        let config = CoreConfig {
+            max_outstanding_misses: 1,
+            ..CoreConfig::table4()
+        };
+        let mut memory = MemorySystem::new(MemoryConfig::small(4096));
+        let mut core = SimpleCore::new(0, &spec, config, 20_000, 7);
+        let mut cycles = 0u64;
+        while !core.finished() && cycles < 5_000_000 {
+            core.tick(&mut memory);
+            for done in memory.tick() {
+                core.on_completion(done.id);
+            }
+            cycles += 1;
+        }
+        assert!(core.finished(), "core did not finish in time");
+        memory.run_until_idle(1_000_000);
+        assert!(core.llc().misses() > 100);
+        assert_eq!(memory.stats().requests_completed(), core.llc().misses());
     }
 
     #[test]
