@@ -1,6 +1,7 @@
 //! Shared plumbing for the experiment binaries that regenerate the paper's tables
-//! and figures (see `DESIGN.md` for the per-experiment index and `EXPERIMENTS.md`
-//! for paper-vs-measured results).
+//! and figures (one binary per experiment under `src/bin/`, named after the figure
+//! or table it reproduces; `ROADMAP.md` records where measured results still
+//! differ from the paper's).
 //!
 //! Each binary prints CSV-like rows to stdout. All experiments run on scaled-down
 //! DRAM banks by default (the characterization pipeline is size-agnostic); pass
@@ -89,7 +90,7 @@ pub fn fmt(v: f64) -> String {
 /// The standard experiment banner: what is being reproduced and at what scale.
 pub fn banner(figure: &str, description: &str) {
     eprintln!("# Reproducing {figure}: {description}");
-    eprintln!("# (scaled-down substrate; see DESIGN.md and EXPERIMENTS.md)");
+    eprintln!("# (scaled-down substrate; scale flags in crates/bench/src/lib.rs, known gaps in ROADMAP.md)");
 }
 
 #[cfg(test)]

@@ -57,3 +57,5 @@ pub use config::MemoryConfig;
 pub use controller::MemorySystem;
 pub use request::{CompletedRequest, MemoryRequest, RequestKind};
 pub use stats::MemStats;
+/// The bank identifier [`MitigationHook::on_activation`] receives.
+pub use svard_dram::address::BankId;

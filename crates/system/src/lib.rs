@@ -8,20 +8,24 @@
 //!
 //! Simulation lengths are configurable and default to a scaled-down instruction
 //! budget so that the full Fig. 12 sweep finishes in minutes rather than the
-//! CPU-years a 200M-instruction × 120-mix campaign would need (see `DESIGN.md`).
+//! CPU-years a 200M-instruction × 120-mix campaign would need (`ROADMAP.md`
+//! records the measured simulation rates and what the short runs cannot show).
 
 //! # Performance
 //!
 //! The runner fast-forwards over stall windows (see [`runner`]) and the
 //! [`EvaluationHarness`] fans simulations out across OS threads with
 //! deterministic per-point seeding, so sweeps scale with core count while
-//! producing bit-identical results to a serial, per-cycle run.
+//! producing bit-identical results to a serial, per-cycle run. Sweep points
+//! whose defense never acts on a mix's baseline are answered from the
+//! baseline run without simulating (see "Quiet-defense replay" in [`runner`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod config;
 pub mod parallel;
+mod replay;
 pub mod runner;
 
 pub use config::SystemConfig;

@@ -14,6 +14,34 @@
 //! simulation derives its seeds from the configuration alone (workload traces
 //! from `config.seed`, defenses from `config.seed ^ hc_first`), so results are
 //! deterministic and independent of thread count and scheduling.
+//!
+//! # Quiet-defense replay
+//!
+//! Many sweep points never make their defense act: at high `HC_first`, or for
+//! trackers whose thresholds a short run cannot cross, the defended run is
+//! the no-defense baseline cycle for cycle. The harness therefore logs, while
+//! it simulates each mix's baseline, every `on_activation(bank, row, cycle)`
+//! and `on_refresh_tick(cycle)` call the controller makes (12 bytes a call;
+//! a mix whose cycle or row exceeds `u32` gets no log). An untraced task
+//! first builds its defense and feeds it that log
+//! ([`EvaluationHarness::run_defended`]):
+//!
+//! - if the defense requests no preventive action on any logged activation,
+//!   the task's result is the baseline [`RunResult`] with the defense's
+//!   `report_obs` merged into its snapshot;
+//! - at the first requested action, that defense is dropped and a fresh one
+//!   runs the full simulation.
+//!
+//! This is exact. Preventive actions are the only way a [`MitigationHook`]
+//! changes what the controller does, so a defense that stays quiet leaves the
+//! whole system — cores, controller, and therefore the calls the defense
+//! itself receives — on the baseline trajectory. By induction over the call
+//! sequence, the defense sees precisely the logged calls, reaches the same
+//! final state as in a full run, and the run's cycles, statistics and IPCs
+//! are the baseline's. Traced tasks (a recording [`ObsSink`]) always simulate,
+//! because their cycle-stamped event stream exists only in a full run. Each
+//! replay attempt records a `harness.replay` span, arg 1 if the defense
+//! stayed quiet and 0 if it fell back.
 
 use svard_cpusim::metrics::SystemMetrics;
 use svard_cpusim::workload::{WorkloadMix, WorkloadSpec};
@@ -28,6 +56,7 @@ use std::sync::Mutex;
 
 use crate::config::SystemConfig;
 use crate::parallel;
+use crate::replay::{ActivationLog, LogRecorder};
 
 /// Shared bookkeeping of a streamed sweep: per-task result slots in input
 /// order, per-point outstanding-mix counters, and the running summary.
@@ -243,14 +272,23 @@ fn run_alone_with_mode(spec: &WorkloadSpec, config: &SystemConfig, mode: SimMode
         .unwrap_or(0.0)
 }
 
+/// One mix's no-defense baseline: the run, its system metrics, and the log of
+/// the hook calls it made (`None` if they did not fit the compact encoding).
+struct Baseline {
+    run: RunResult,
+    metrics: SystemMetrics,
+    log: Option<ActivationLog>,
+}
+
 /// Evaluation harness that caches the per-mix alone-IPC vectors and baseline
-/// metrics, so that each defense configuration only costs one extra simulation per
-/// mix — and fans those simulations out across OS threads.
+/// runs, so that each defense configuration costs at most one extra simulation
+/// per mix (none when the defense stays quiet on the baseline, see the module
+/// notes) — and fans those simulations out across OS threads.
 pub struct EvaluationHarness {
     config: SystemConfig,
     mixes: Vec<WorkloadMix>,
     alone_ipc: Vec<Vec<f64>>,
-    baseline: Vec<SystemMetrics>,
+    baselines: Vec<Baseline>,
     threads: usize,
     mode: SimMode,
     prep_profile: Vec<PhaseProfile>,
@@ -354,18 +392,25 @@ impl EvaluationHarness {
                 per_mix.push(ipc);
             }
         }
-        // Baseline (no defense) runs: one task per mix.
+        // Baseline (no defense) runs: one task per mix, each logging the hook
+        // calls that quiet-defense replay feeds to the sweep's defenses.
         // lint: allow(determinism) -- span profiling measures the harness, never simulation state
         let baseline_start = profiler.now_us();
         let timed_baseline = parallel::par_map(&mixes, threads, |m, mix| {
             // lint: allow(determinism) -- per-task busy time never feeds back into results
             let task_start = profiler.now_us();
-            let run = run_mix_with_mode(mix, &config, Box::new(NoMitigation), mode);
+            let (recorder, log) = LogRecorder::new();
+            let run = run_mix_with_mode(mix, &config, Box::new(recorder), mode);
             let alone = alone_ipc.get(m).map_or(&[] as &[f64], Vec::as_slice);
+            let baseline = Baseline {
+                metrics: SystemMetrics::compute(alone, &run.per_core_ipc),
+                run,
+                log: log.finish(),
+            };
             // lint: allow(determinism) -- per-task busy time never feeds back into results
             let task_us = profiler.now_us().saturating_sub(task_start);
             profiler.record("harness.baseline_run", task_start, task_us, m as u64);
-            (SystemMetrics::compute(alone, &run.per_core_ipc), task_us)
+            (baseline, task_us)
         });
         // lint: allow(determinism) -- span profiling measures the harness, never simulation state
         let baseline_us = profiler.now_us().saturating_sub(baseline_start);
@@ -385,12 +430,12 @@ impl EvaluationHarness {
                 .sum(),
             threads,
         };
-        let baseline: Vec<SystemMetrics> = timed_baseline.into_iter().map(|(b, _)| b).collect();
+        let baselines: Vec<Baseline> = timed_baseline.into_iter().map(|(b, _)| b).collect();
         Self {
             config,
             mixes,
             alone_ipc,
-            baseline,
+            baselines,
             threads,
             mode,
             prep_profile: vec![alone_profile, baseline_profile],
@@ -662,10 +707,51 @@ impl EvaluationHarness {
             .collect()
     }
 
-    /// Simulate one `(point, mix)` task with the given sink, returning the
-    /// metrics normalized to that mix's no-defense baseline together with the
-    /// run's canonical observability snapshot (mode-independent: `diag.*`
-    /// diagnostics are stripped).
+    /// Run mix `m` under the hook `build` makes, exactly as
+    /// [`run_mix_with_mode`] would in this harness's mode — but answered from
+    /// the mix's baseline when the hook stays quiet on the baseline's logged
+    /// hook calls (see "Quiet-defense replay" in the module notes). `build`
+    /// must return an identically configured hook on every call; it is called
+    /// a second time when the first hook acts and the run falls back to
+    /// simulation. `None` if `m` is out of range.
+    pub fn run_defended(
+        &self,
+        m: usize,
+        build: &dyn Fn() -> Box<dyn MitigationHook>,
+    ) -> Option<RunResult> {
+        Some(self.replay_or_simulate(self.mixes.get(m)?, self.baselines.get(m)?, build))
+    }
+
+    /// [`run_defended`](Self::run_defended) on a mix and its baseline.
+    fn replay_or_simulate(
+        &self,
+        mix: &WorkloadMix,
+        baseline: &Baseline,
+        build: &dyn Fn() -> Box<dyn MitigationHook>,
+    ) -> RunResult {
+        if let Some(log) = &baseline.log {
+            // lint: allow(determinism) -- span profiling measures the harness, never simulation state
+            let start = self.profiler.now_us();
+            let mut hook = build();
+            let quiet = log.replay_is_quiet(hook.as_mut());
+            // lint: allow(determinism) -- span profiling measures the harness, never simulation state
+            let dur = self.profiler.now_us().saturating_sub(start);
+            self.profiler
+                .record("harness.replay", start, dur, u64::from(quiet));
+            if quiet {
+                let mut run = baseline.run.clone();
+                hook.report_obs(&mut run.metrics);
+                return run;
+            }
+        }
+        run_mix_with_mode(mix, &self.config, build(), self.mode)
+    }
+
+    /// Run one `(point, mix)` task with the given sink, returning the metrics
+    /// normalized to that mix's no-defense baseline together with the run's
+    /// canonical observability snapshot (mode-independent: `diag.*`
+    /// diagnostics are stripped). Untraced tasks go through
+    /// [`run_defended`](Self::run_defended); traced ones always simulate.
     fn simulate_task<S: ObsSink>(
         &self,
         points: &[SweepPoint],
@@ -677,19 +763,29 @@ impl EvaluationHarness {
             points.get(p),
             self.mixes.get(m),
             self.alone_ipc.get(m),
-            self.baseline.get(m),
+            self.baselines.get(m),
         ) else {
             // Unreachable: tasks() only produces in-range indices.
             return (ZERO_METRICS, MetricsSnapshot::default(), sink);
         };
-        let mitigation = point.defense.build(
-            point.provider.clone(),
-            self.config.memory.geometry.rows_per_bank,
-            self.config.seed ^ point.hc_first,
-        );
-        let (run, sink) = run_mix_with_sink(mix, &self.config, mitigation, self.mode, sink);
+        let build = || {
+            point.defense.build(
+                point.provider.clone(),
+                self.config.memory.geometry.rows_per_bank,
+                self.config.seed ^ point.hc_first,
+            )
+        };
+        let (run, sink) = if S::ENABLED {
+            run_mix_with_sink(mix, &self.config, build(), self.mode, sink)
+        } else {
+            (self.replay_or_simulate(mix, base, &build), sink)
+        };
         let metrics = SystemMetrics::compute(alone, &run.per_core_ipc);
-        (metrics.normalized_to(base), run.metrics.canonical(), sink)
+        (
+            metrics.normalized_to(&base.metrics),
+            run.metrics.canonical(),
+            sink,
+        )
     }
 
     /// Average the per-task normalized metrics over mixes, one result per
